@@ -220,6 +220,25 @@ grep -q '^agreement-ok: true$' /tmp/ci_crossval_w1.txt \
 rm -f /tmp/ci_experiments /tmp/ci_crossval_w1.txt /tmp/ci_crossval_w4.txt
 echo "==> cross-validation ok"
 
+# Determinism: every experiment output is a pure function of its flags.
+# `-exp all` runs twice at -workers 1 and once at -workers $(nproc), and
+# the three outputs must be byte-identical; the same goes for report and
+# devices, which `all` skips.
+NPROC=$(nproc)
+echo "==> experiment determinism (-workers 1 twice, -workers $NPROC once)"
+go build -o /tmp/ci_experiments ./cmd/experiments
+for EXP in all report devices; do
+  /tmp/ci_experiments -exp "$EXP" -workers 1 > "/tmp/ci_det_${EXP}_1a.txt"
+  /tmp/ci_experiments -exp "$EXP" -workers 1 > "/tmp/ci_det_${EXP}_1b.txt"
+  /tmp/ci_experiments -exp "$EXP" -workers "$NPROC" > "/tmp/ci_det_${EXP}_n.txt"
+  cmp "/tmp/ci_det_${EXP}_1a.txt" "/tmp/ci_det_${EXP}_1b.txt" \
+    || { echo "-exp $EXP output differs between two -workers 1 runs"; exit 1; }
+  cmp "/tmp/ci_det_${EXP}_1a.txt" "/tmp/ci_det_${EXP}_n.txt" \
+    || { echo "-exp $EXP output differs between -workers 1 and -workers $NPROC"; exit 1; }
+done
+rm -f /tmp/ci_experiments /tmp/ci_det_*.txt
+echo "==> experiment determinism ok"
+
 # Crash matrix: every filesystem operation of the store and journal
 # workloads is an injection point, for every fault mode (EIO, ENOSPC,
 # torn write, durability-lost rename, power cut), across a widened seed

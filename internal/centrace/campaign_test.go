@@ -12,6 +12,7 @@ import (
 	"cendev/internal/middlebox"
 	"cendev/internal/simnet"
 	"cendev/internal/topology"
+	"cendev/internal/wire"
 )
 
 // TestCampaignResetsDeviceState is the regression test for stateful
@@ -297,53 +298,87 @@ func TestOpenJournalFileTornTailAppend(t *testing.T) {
 	}
 }
 
-// TestJournalLegacyJSONLResumeAndAppend: a journal written by an earlier
-// version holds JSON lines. Resume must restore it, keep appending JSON
-// (one file, one format), and apply the newline repair to a torn tail.
-func TestJournalLegacyJSONLResumeAndAppend(t *testing.T) {
+// TestOpenJournalFileRefusesJSONL: a JSON-lines journal from an earlier
+// version is refused with an error naming the file, and the file is left
+// byte-for-byte as it was — not truncated as a tear at byte 0.
+func TestOpenJournalFileRefusesJSONL(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.jsonl")
-	legacy := `{"key":"a.example|http","domain":"a.example","protocol":"http"}` + "\n" +
-		`{"key":"b.exa` // torn tail, no newline
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+	old := []byte(`{"key":"a.example|http","domain":"a.example","protocol":"http"}` + "\n" +
+		`{"key":"b.exa`) // torn tail, no newline
+	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
 	j, f, err := OpenJournalFile(path)
+	if err == nil {
+		f.Close()
+		t.Fatalf("JSON-lines journal opened with %d entries", j.Len())
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Fatalf("error %q does not name %s", err, path)
+	}
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Len() != 1 {
-		t.Fatalf("restored %d entries, want 1", j.Len())
+	if !bytes.Equal(got, old) {
+		t.Fatalf("refused journal changed:\n  was %q\n  now %q", old, got)
 	}
-	if len(j.Warnings()) != 1 {
-		t.Fatalf("warnings = %v, want one for the torn line", j.Warnings())
-	}
-	tgtC := Target{Domain: "c.example", Protocol: HTTPS}
-	j.Record(CampaignResult{Target: tgtC})
-	if err := j.Err(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+}
 
-	// The appended record must be JSON — the file stays single-format.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(raw, []byte{0xC5}) {
-		t.Fatal("binary frame appended to a legacy JSONL journal")
-	}
+// TestOpenJournalFileMarkerPrefix: a crash tearing the very first frame
+// inside its marker leaves 1–3 bytes that are a proper prefix of it. Such
+// a journal is a torn binary journal, not a foreign file: it opens, is
+// truncated to empty, and takes appends. When a short write tore the
+// marker and later records were appended behind it, the journal opens
+// too, and the records behind the tear are restored.
+func TestOpenJournalFileMarkerPrefix(t *testing.T) {
+	for n := 1; n < len(wire.Marker); n++ {
+		path := filepath.Join(t.TempDir(), "campaign.journal")
+		if err := os.WriteFile(path, wire.Marker[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, f, err := OpenJournalFile(path)
+		if err != nil {
+			t.Fatalf("%d-byte marker prefix: %v", n, err)
+		}
+		if j.Len() != 0 {
+			t.Fatalf("%d-byte marker prefix: %d entries, want 0", n, j.Len())
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
+			t.Fatalf("%d-byte marker prefix not truncated to 0: %v %v", n, fi.Size(), err)
+		}
+		tgt := Target{Domain: "a.example", Protocol: HTTP}
+		j.Record(CampaignResult{Target: tgt})
+		if err := j.Err(); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		j2, f2, err := OpenJournalFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f2.Close()
+		if _, ok := j2.Lookup(tgt); !ok || j2.Len() != 1 || len(j2.Warnings()) != 0 {
+			t.Fatalf("%d-byte marker prefix: append lost or unclean (entries %d, warnings %q)",
+				n, j2.Len(), j2.Warnings())
+		}
 
-	j2, f2, err := OpenJournalFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f2.Close()
-	if j2.Len() != 2 {
-		t.Fatalf("after legacy append: %d entries, want 2", j2.Len())
-	}
-	if _, ok := j2.Lookup(tgtC); !ok {
-		t.Error("record appended to a legacy journal was lost")
+		// The same tear with a record appended behind it.
+		var buf bytes.Buffer
+		buf.Write(wire.Marker[:n])
+		NewJournal(&buf).Record(CampaignResult{Target: tgt})
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j3, f3, err := OpenJournalFile(path)
+		if err != nil {
+			t.Fatalf("%d-byte marker prefix before a record: %v", n, err)
+		}
+		f3.Close()
+		if _, ok := j3.Lookup(tgt); !ok || j3.Len() != 1 {
+			t.Fatalf("%d-byte marker prefix before a record: record lost (entries %d, warnings %q)",
+				n, j3.Len(), j3.Warnings())
+		}
 	}
 }
 

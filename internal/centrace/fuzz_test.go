@@ -10,12 +10,12 @@ import (
 	"cendev/internal/wire"
 )
 
-// FuzzJournalReplay drives arbitrary bytes through the format-sniffing
-// journal parser (binary frames or legacy JSON lines). Whatever the
-// input, ResumeJournal must not panic; a legacy journal must tolerate one
-// more torn line with nothing but an extra warning, and a torn binary
-// journal must be repairable by truncating to the reported boundary —
-// the exact situations a kill -9 mid-Record creates.
+// FuzzJournalReplay drives arbitrary bytes through the journal parser.
+// Whatever the input, ResumeJournal must not panic. Input that is not a
+// frame stream — the JSON-lines seeds among them — must be refused with
+// an error and no journal. A torn frame stream must be repairable by
+// truncating to the reported boundary — the exact situation a kill -9
+// mid-Record creates.
 //
 // The same bytes then seed a chaos filesystem with a fuzz-chosen fault
 // schedule under a live record+sync workload: every checkpoint the
@@ -38,48 +38,25 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(append(append(append([]byte(nil), frameA...), "mid-file damage"...), frameB...), int64(9), uint8(5), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64, failA, failB uint8) {
 		j, err := ResumeJournal(bytes.NewReader(data), nil)
-		if err != nil {
-			// Only scanner-level I/O failures (e.g. a line beyond the 16MB
-			// buffer) may error; they must not yield a half-built journal.
-			if j != nil {
-				t.Fatalf("ResumeJournal returned both a journal and error %v", err)
+		if len(data) > 0 && data[0] != wire.Marker[0] {
+			if err == nil || j != nil {
+				t.Fatalf("non-frame journal %q: got journal %v, error %v; want an error and no journal", data, j != nil, err)
 			}
-			return
-		}
-		entries, warnings := j.Len(), len(j.Warnings())
-
-		if wire.SniffMarker(data) {
-			// Binary: repairing a torn tail by truncating to the reported
-			// boundary must yield the same entries with no tear left.
-			if tornAt, torn := j.Torn(); torn {
-				repaired := append([]byte(nil), data[:tornAt]...)
-				j2, err := ResumeJournal(bytes.NewReader(repaired), nil)
-				if err != nil {
-					t.Fatalf("ResumeJournal on repaired journal errored: %v", err)
-				}
-				if j2.Len() != entries {
-					t.Fatalf("torn-tail repair changed entry count: %d -> %d", entries, j2.Len())
-				}
-				if _, stillTorn := j2.Torn(); stillTorn {
-					t.Fatal("journal still torn after truncating to the reported boundary")
-				}
-			}
-		} else {
-			// Legacy: a fresh torn tail on the same bytes — every previously
-			// parseable line parses identically (the suffix starts with a
-			// newline, so it terminates a previously unterminated last line
-			// without altering its bytes), and exactly one more warning
-			// appears.
-			torn := append(append([]byte(nil), data...), []byte("\n{\"key\":\"torn")...)
-			j2, err := ResumeJournal(bytes.NewReader(torn), nil)
+		} else if err != nil {
+			t.Fatalf("frame stream refused: %v", err)
+		} else if tornAt, torn := j.Torn(); torn {
+			// Repairing a torn tail by truncating to the reported boundary
+			// must yield the same entries with no tear left.
+			repaired := append([]byte(nil), data[:tornAt]...)
+			j2, err := ResumeJournal(bytes.NewReader(repaired), nil)
 			if err != nil {
-				t.Fatalf("ResumeJournal on torn variant errored: %v", err)
+				t.Fatalf("ResumeJournal on repaired journal errored: %v", err)
 			}
-			if j2.Len() != entries {
-				t.Fatalf("torn tail changed entry count: %d -> %d", entries, j2.Len())
+			if j2.Len() != j.Len() {
+				t.Fatalf("torn-tail repair changed entry count: %d -> %d", j.Len(), j2.Len())
 			}
-			if got := len(j2.Warnings()); got != warnings+1 {
-				t.Fatalf("torn tail: want %d warnings, got %d", warnings+1, got)
+			if _, stillTorn := j2.Torn(); stillTorn {
+				t.Fatal("journal still torn after truncating to the reported boundary")
 			}
 		}
 

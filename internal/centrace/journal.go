@@ -8,15 +8,14 @@ package centrace
 // collection picks up where it left off, the way the paper's multi-week
 // measurement campaigns had to.
 //
-// Journals written by earlier versions are JSON lines. Resume sniffs the
-// frame marker to pick the format; a legacy journal keeps appending JSON
-// (mixing formats inside one file would break both readers), while new
-// and empty journals write binary frames. ExportJSON renders either as
-// the JSON-lines debug view.
+// Binary frames are the only journal format. A non-empty journal must
+// start with the frame marker, or with a proper prefix of it (a first
+// frame torn mid-marker; see wire.Framed); anything else, such as a
+// JSON-lines journal from an earlier version, is refused and left
+// untouched. ExportJSON renders the entries as the JSON-lines debug view.
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -44,22 +43,19 @@ type journalEntry struct {
 // Journals are safe for concurrent use: parallel campaign workers resolve
 // targets from many goroutines, so the entry map, the writer, and the
 // encoding scratch buffers are guarded by a mutex — each entry reaches
-// the log as one uninterleaved frame (or, on legacy journals, line).
+// the log as one uninterleaved frame.
 type Journal struct {
 	mu       sync.Mutex
 	entries  map[string]journalEntry
 	w        io.Writer
 	err      error
 	warnings []string
-	// legacy is true when the resumed file held JSON lines: appends stay
-	// JSON so the file remains single-format.
-	legacy bool
 	// recBuf/encBuf are the append path's scratch buffers (record payload
 	// and framed record); they grow to the high-water record size and are
 	// reused, so steady-state appends do not allocate. Guarded by mu.
 	recBuf, encBuf []byte
-	// tornAt/torn report a torn final frame found during a binary resume:
-	// the offset to truncate back to so the next append starts on a clean
+	// tornAt/torn report a torn final frame found during resume: the
+	// offset to truncate back to so the next append starts on a clean
 	// frame boundary. OpenJournalFileFS performs the truncation.
 	tornAt int64
 	torn   bool
@@ -74,15 +70,14 @@ func NewJournal(w io.Writer) *Journal {
 // entries to w. Either may be nil: a nil r resumes nothing, a nil w
 // records in memory only.
 //
-// The journal's format is sniffed from its first bytes: the wire frame
-// marker selects the binary format, anything else is a legacy JSON-lines
-// journal (which then keeps appending JSON — see the package comment). A
-// record that fails to parse — the truncated final record a crash
+// A record that fails to parse — the truncated final record a crash
 // mid-Record leaves behind, or an interior record torn by a filesystem
 // that reordered writes around a power cut — is skipped with a warning
 // (see Warnings) instead of failing the whole resume: every parseable
 // record is still restored, and the skipped target is simply
-// re-measured. Only an I/O error reading the journal aborts the resume.
+// re-measured. Only an I/O error reading the journal, or a journal that
+// is not a frame stream (see the package comment), aborts the resume;
+// it then returns no journal.
 func ResumeJournal(r io.Reader, w io.Writer) (*Journal, error) {
 	j := NewJournal(w)
 	if r == nil {
@@ -95,19 +90,9 @@ func ResumeJournal(r io.Reader, w io.Writer) (*Journal, error) {
 	if len(raw) == 0 {
 		return j, nil
 	}
-	if wire.SniffMarker(raw) {
-		j.resumeBinary(raw)
-	} else {
-		j.legacy = true
-		if err := j.resumeJSONL(raw); err != nil {
-			return nil, err
-		}
+	if !wire.Framed(raw) {
+		return nil, errors.New("centrace: journal is not a binary frame stream (a JSON-lines journal from an earlier version?)")
 	}
-	return j, nil
-}
-
-// resumeBinary restores entries from a binary frame stream.
-func (j *Journal) resumeBinary(raw []byte) {
 	rd := wire.NewReader(raw)
 	for {
 		payload, ok := rd.Next()
@@ -126,36 +111,13 @@ func (j *Journal) resumeBinary(raw []byte) {
 		j.warnings = append(j.warnings, "centrace: journal: "+w)
 	}
 	j.tornAt, j.torn = rd.Torn()
+	return j, nil
 }
 
-// resumeJSONL restores entries from a legacy JSON-lines journal.
-func (j *Journal) resumeJSONL(raw []byte) error {
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var e journalEntry
-		if err := json.Unmarshal(b, &e); err != nil {
-			j.warnings = append(j.warnings, fmt.Sprintf(
-				"centrace: journal line %d: skipping unparseable record (torn write?): %v", line, err))
-			continue
-		}
-		j.entries[e.Key] = e
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("centrace: reading journal: %w", err)
-	}
-	return nil
-}
-
-// Warnings returns the resume-time warnings: one per journal line that was
-// skipped as unparseable. Callers surface them so a silently shrinking
-// journal does not go unnoticed.
+// Warnings returns the resume-time warnings: one per skipped stretch of
+// damaged bytes or undecodable record, plus any torn-tail repair.
+// Callers surface them so a silently shrinking journal does not go
+// unnoticed.
 func (j *Journal) Warnings() []string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -170,8 +132,10 @@ func OpenJournalFile(path string) (*Journal, vfs.File, error) {
 
 // OpenJournalFileFS opens (creating if needed) a journal file, loads its
 // entries, and positions it for appending. The caller owns closing the
-// returned file. All I/O goes through fsys so the crash matrix can run
-// resume against an injected-fault filesystem.
+// returned file. A journal that is not a frame stream is refused with an
+// error naming path, and the file is left as it was. All I/O goes
+// through fsys so the crash matrix can run resume against an
+// injected-fault filesystem.
 func OpenJournalFileFS(fsys vfs.FS, path string) (*Journal, vfs.File, error) {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -180,14 +144,11 @@ func OpenJournalFileFS(fsys vfs.FS, path string) (*Journal, vfs.File, error) {
 	j, err := ResumeJournal(f, f)
 	if err != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	// A crash mid-Record leaves a torn tail. On a binary journal the torn
-	// frame is cut back to the last good frame boundary so the next append
-	// starts clean (the dropped target is simply re-measured). On a legacy
-	// journal the tail is a line missing its newline: new records must not
-	// be glued onto it — the concatenation would corrupt them too — so
-	// terminate it; the torn line itself is skipped on every later resume.
+	// A crash mid-Record leaves a torn tail: cut it back to the last good
+	// frame boundary so the next append starts clean (the dropped target
+	// is simply re-measured).
 	if _, torn := j.Torn(); torn {
 		if err := fsys.Truncate(path, j.tornAt); err != nil {
 			f.Close()
@@ -196,28 +157,14 @@ func OpenJournalFileFS(fsys vfs.FS, path string) (*Journal, vfs.File, error) {
 		j.warnings = append(j.warnings, fmt.Sprintf(
 			"centrace: journal: truncated torn tail at byte %d", j.tornAt))
 	}
-	off, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
+	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
 		return nil, nil, err
-	}
-	if j.legacy && off > 0 {
-		var last [1]byte
-		if _, err := f.ReadAt(last[:], off-1); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if last[0] != '\n' {
-			if _, err := f.Write([]byte("\n")); err != nil {
-				f.Close()
-				return nil, nil, err
-			}
-		}
 	}
 	return j, f, nil
 }
 
-// Torn reports whether a binary resume found a torn final frame, and the
+// Torn reports whether resume found a torn final frame, and the
 // offset of the last good frame boundary. OpenJournalFileFS uses it to
 // repair the file; callers resuming from a bare reader can use it to do
 // the same.
@@ -265,18 +212,6 @@ func (j *Journal) Record(cr CampaignResult) {
 	if j.w == nil {
 		return
 	}
-	if j.legacy {
-		raw, err := json.Marshal(e)
-		if err != nil {
-			j.err = fmt.Errorf("centrace: journal marshal: %w", err)
-			return
-		}
-		raw = append(raw, '\n')
-		if _, err := j.w.Write(raw); err != nil {
-			j.err = fmt.Errorf("centrace: journal write: %w", err)
-		}
-		return
-	}
 	j.recBuf = appendJournalEntry(j.recBuf[:0], &e)
 	j.encBuf = wire.AppendFrame(j.encBuf[:0], j.recBuf)
 	if _, err := j.w.Write(j.encBuf); err != nil {
@@ -314,7 +249,7 @@ func (j *Journal) Len() int {
 	return len(j.entries)
 }
 
-// Err returns the first write/marshal error the journal swallowed, if any.
+// Err returns the first write error the journal swallowed, if any.
 func (j *Journal) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -4,8 +4,7 @@ package centrace
 // checkpoint writes through internal/wire. The entire Result tree is
 // hand-encoded — no reflection, no per-record allocation on the append
 // path — with the leading version byte gating schema evolution. The JSON
-// shape survives as the export/debug view (Journal.ExportJSON) and as
-// the read-only resume path for legacy JSON-lines journals.
+// shape survives only as the export/debug view (Journal.ExportJSON).
 //
 // Config.Obs, Config.Tracer, and Config.Parent are runtime wiring, not
 // measurement data, and are not persisted (the JSON form drops them the

@@ -308,6 +308,32 @@ func TestClusterMatchesStandalone(t *testing.T) {
 	}
 }
 
+// TestClusterCenClusterDeterministic: a cencluster job (the full study,
+// forest MDI and DBSCAN) replicated on three workers running the real
+// scheduler must finish done, never conflict — every replica computes
+// byte-identical bytes, so all three digests agree.
+func TestClusterCenClusterDeterministic(t *testing.T) {
+	nodes := []string{"w1", "w2", "w3"}
+	tc := startCluster(t, clusterConfig{nodes: nodes, replication: 3})
+	id := tc.submit(serve.JobSpec{Kind: serve.KindCenCluster, Repetitions: 1, Seed: 3})
+	st := tc.waitTerminal(id)
+	if st.State != serve.StateDone {
+		t.Fatalf("cencluster job: state %s (%s)", st.State, st.Error)
+	}
+	if len(st.Replicas) != len(nodes) {
+		t.Fatalf("replicas = %v, want all of %v", st.Replicas, nodes)
+	}
+	for _, n := range nodes {
+		e, ok := tc.workers[n].Store().Get(id)
+		if !ok {
+			t.Fatalf("replica %s holds no copy", n)
+		}
+		if d := serve.PayloadDigest(e.Payload); d != st.Digest {
+			t.Fatalf("replica %s digest %s, job digest %s", n, d, st.Digest)
+		}
+	}
+}
+
 // TestClusterStealsFromDeadWorker: a worker that never pulls (HTTP up,
 // execution down) must not stall the cluster — its replica slots expire
 // in virtual time and are stolen by live nodes, and every job still

@@ -104,6 +104,7 @@ type clusterJob struct {
 	specJSON    []byte
 	slots       []*slot
 	completions map[string]string // node → result digest (successes only)
+	failed      map[string]bool   // nodes that failed this job transiently
 	transient   int               // transient worker failures absorbed so far
 	lastErr     string
 	finished    bool
@@ -198,9 +199,13 @@ func (c *Coordinator) tickLocked() {
 
 // eligibleLocked reports whether node may take a slot of cj: one
 // replica slot per node per job, and a node that already completed the
-// job contributes nothing by running it again.
+// job contributes nothing by running it again. A node that failed the
+// job transiently may not take a slot back either: each of its own
+// pulls ticks the virtual clock, so it would re-steal the slot its
+// failure handed to another node before that node pulled, and fail the
+// job out of its transient budget.
 func (c *Coordinator) eligibleLocked(cj *clusterJob, node string) bool {
-	if _, done := cj.completions[node]; done {
+	if _, done := cj.completions[node]; done || cj.failed[node] {
 		return false
 	}
 	for _, sl := range cj.slots {
@@ -380,6 +385,7 @@ func (c *Coordinator) Execute(j serve.Job) (serve.ExecResult, error) {
 		spec:        j.Spec,
 		specJSON:    specJSON,
 		completions: make(map[string]string),
+		failed:      make(map[string]bool),
 		done:        make(chan struct{}),
 	}
 	c.mu.Lock()
@@ -480,6 +486,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if comp.Error != "" {
 		cj.transient++
 		cj.lastErr = comp.Error
+		cj.failed[comp.Node] = true
 		if !comp.Transient {
 			c.finishLocked(cj, serve.ExecResult{}, errors.New(comp.Error))
 		} else if cj.transient > c.opts.MaxTransient {

@@ -12,6 +12,8 @@ import (
 type Forest struct {
 	Trees []*Tree
 	seed  int64
+	// classes is the training set's class count (see Dataset.numClasses).
+	classes int
 }
 
 // ForestConfig parameterizes training.
@@ -41,7 +43,7 @@ func (c ForestConfig) withDefaults(numFeatures int) ForestConfig {
 func FitForest(d *Dataset, cfg ForestConfig) *Forest {
 	cfg = cfg.withDefaults(d.NumFeatures())
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	f := &Forest{seed: cfg.Seed}
+	f := &Forest{seed: cfg.Seed, classes: d.numClasses()}
 	n := len(d.X)
 	for t := 0; t < cfg.NumTrees; t++ {
 		// Bootstrap sample.
@@ -62,7 +64,7 @@ func FitForest(d *Dataset, cfg ForestConfig) *Forest {
 
 // Predict classifies one sample by majority vote.
 func (f *Forest) Predict(x []float64) int {
-	votes := map[int]int{}
+	votes := make([]int, f.classes)
 	for _, t := range f.Trees {
 		votes[t.Predict(x)]++
 	}
@@ -163,12 +165,11 @@ func newPermRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 func FitForestOOB(d *Dataset, cfg ForestConfig) (*Forest, float64) {
 	cfg = cfg.withDefaults(d.NumFeatures())
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	f := &Forest{seed: cfg.Seed}
+	f := &Forest{seed: cfg.Seed, classes: d.numClasses()}
 	n := len(d.X)
-	oobVotes := make([]map[int]int, n)
-	for i := range oobVotes {
-		oobVotes[i] = map[int]int{}
-	}
+	// oobVotes[i] stays nil until a tree whose bootstrap missed sample i
+	// votes on it.
+	oobVotes := make([][]int, n)
 	for t := 0; t < cfg.NumTrees; t++ {
 		idx := make([]int, n)
 		inBag := make([]bool, n)
@@ -185,13 +186,16 @@ func FitForestOOB(d *Dataset, cfg ForestConfig) (*Forest, float64) {
 		f.Trees = append(f.Trees, tree)
 		for i := 0; i < n; i++ {
 			if !inBag[i] {
+				if oobVotes[i] == nil {
+					oobVotes[i] = make([]int, f.classes)
+				}
 				oobVotes[i][tree.Predict(d.X[i])]++
 			}
 		}
 	}
 	correct, scored := 0, 0
 	for i, votes := range oobVotes {
-		if len(votes) == 0 {
+		if votes == nil {
 			continue
 		}
 		scored++

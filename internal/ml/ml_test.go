@@ -405,3 +405,30 @@ func TestFitForestOOB(t *testing.T) {
 		t.Errorf("OOB %.2f far from CV %.2f", oob, mean)
 	}
 }
+
+// TestForestImportanceDeterministic: fitting the same forest on the same
+// data must give bit-identical MDI every time. The data invites exact
+// ties — many classes, coarse feature values, and a duplicated column,
+// so two features offer splits of equal gain — where any run-to-run
+// wobble in the impurity sums would flip which feature wins.
+func TestForestImportanceDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	d := &Dataset{}
+	for i := 0; i < 240; i++ {
+		y := i % 7
+		a := float64(y/2) + float64(rng.Intn(3))
+		b := float64(rng.Intn(5))
+		d.X = append(d.X, []float64{a, a, b, float64((y + rng.Intn(2)) % 4)})
+		d.Y = append(d.Y, y)
+	}
+	cfg := ForestConfig{NumTrees: 20, MaxFeatures: 4, Seed: 3}
+	want := FitForest(d, cfg).Importance()
+	for run := 1; run < 20; run++ {
+		got := FitForest(d, cfg).Importance()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("fit %d: importance %v, first fit %v", run, got, want)
+			}
+		}
+	}
+}

@@ -13,9 +13,22 @@ import (
 )
 
 // Dataset is a feature matrix with integer class labels. Rows are samples.
+// Labels are dense class ids 0..K-1, as features.LabeledDataset assigns
+// them.
 type Dataset struct {
 	X [][]float64
 	Y []int
+}
+
+// numClasses returns K, one more than the largest class id.
+func (d *Dataset) numClasses() int {
+	k := 0
+	for _, y := range d.Y {
+		if y >= k {
+			k = y + 1
+		}
+	}
+	return k
 }
 
 // NumFeatures returns the width of the feature matrix.
@@ -45,6 +58,9 @@ type Tree struct {
 	importance []float64
 	minLeaf    int
 	maxDepth   int
+	// classes is the training set's class count: the length of every
+	// class-count vector.
+	classes int
 }
 
 // TreeConfig bounds tree growth.
@@ -58,8 +74,10 @@ type TreeConfig struct {
 	Rng *rand.Rand
 }
 
-// gini computes the Gini impurity of a label multiset.
-func gini(counts map[int]int, total int) float64 {
+// gini computes the Gini impurity of a label multiset given as per-class
+// counts. Summing in class-id order keeps the float result, and so every
+// split decision, identical from run to run.
+func gini(counts []int, total int) float64 {
 	if total == 0 {
 		return 0
 	}
@@ -71,25 +89,21 @@ func gini(counts map[int]int, total int) float64 {
 	return 1 - sum
 }
 
-func countLabels(y []int, idx []int) map[int]int {
-	counts := make(map[int]int)
+func countLabels(y []int, idx []int, classes int) []int {
+	counts := make([]int, classes)
 	for _, i := range idx {
 		counts[y[i]]++
 	}
 	return counts
 }
 
-func majority(counts map[int]int) int {
-	best, bestC := 0, -1
-	// Deterministic tie-break by class id.
-	keys := make([]int, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		if counts[k] > bestC {
-			best, bestC = k, counts[k]
+// majority returns the class with the most votes; ties go to the lowest
+// class id.
+func majority(counts []int) int {
+	best := 0
+	for k, c := range counts {
+		if c > counts[best] {
+			best = k
 		}
 	}
 	return best
@@ -108,6 +122,7 @@ func FitTree(d *Dataset, idx []int, cfg TreeConfig) *Tree {
 		importance: make([]float64, d.NumFeatures()),
 		minLeaf:    max(1, cfg.MinLeafSize),
 		maxDepth:   cfg.MaxDepth,
+		classes:    d.numClasses(),
 	}
 	t.root = t.grow(d, idx, 0, cfg)
 	return t
@@ -115,9 +130,9 @@ func FitTree(d *Dataset, idx []int, cfg TreeConfig) *Tree {
 
 // grow recursively builds the tree.
 func (t *Tree) grow(d *Dataset, idx []int, depth int, cfg TreeConfig) *treeNode {
-	counts := countLabels(d.Y, idx)
+	counts := countLabels(d.Y, idx, t.classes)
 	node := &treeNode{prediction: majority(counts), leaf: true}
-	if len(counts) <= 1 || len(idx) < 2*t.minLeaf {
+	if len(idx) < 2*t.minLeaf || counts[node.prediction] == len(idx) {
 		return node
 	}
 	if t.maxDepth > 0 && depth >= t.maxDepth {
@@ -148,15 +163,18 @@ func (t *Tree) grow(d *Dataset, idx []int, depth int, cfg TreeConfig) *treeNode 
 }
 
 // bestSplit scans candidate features for the best Gini gain.
-func (t *Tree) bestSplit(d *Dataset, idx []int, parentCounts map[int]int, cfg TreeConfig) (feat int, thresh, gain float64, ok bool) {
+func (t *Tree) bestSplit(d *Dataset, idx []int, parentCounts []int, cfg TreeConfig) (feat int, thresh, gain float64, ok bool) {
 	n := len(idx)
 	parentGini := gini(parentCounts, n)
 	features := t.candidateFeatures(d.NumFeatures(), cfg)
 	bestGain := 0.0
+	order := make([]int, n)
+	leftCounts := make([]int, t.classes)
+	rightCounts := make([]int, t.classes)
 	for _, f := range features {
 		// Sort sample indices by feature value (NaN treated as +inf so
 		// missing values fall to the right branch).
-		order := append([]int(nil), idx...)
+		copy(order, idx)
 		sort.Slice(order, func(a, b int) bool {
 			va, vb := d.X[order[a]][f], d.X[order[b]][f]
 			if math.IsNaN(va) {
@@ -167,11 +185,8 @@ func (t *Tree) bestSplit(d *Dataset, idx []int, parentCounts map[int]int, cfg Tr
 			}
 			return va < vb
 		})
-		leftCounts := make(map[int]int)
-		rightCounts := make(map[int]int)
-		for k, v := range countLabels(d.Y, idx) {
-			rightCounts[k] = v
-		}
+		clear(leftCounts)
+		copy(rightCounts, parentCounts)
 		for i := 0; i < n-1; i++ {
 			y := d.Y[order[i]]
 			leftCounts[y]++

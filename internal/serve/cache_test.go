@@ -112,6 +112,48 @@ func TestResultCacheSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestResultCacheKeepsScenarioAcrossRestart: the scenario is part of a
+// tomography spec's cache key, so it must survive the store round trip.
+// After a restart, a scenario-less spec with the same seed is a different
+// job and runs; the one-scenario spec is still answered from the cache.
+func TestResultCacheKeepsScenarioAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	var calls atomic.Int64
+	hook := func(spec JobSpec) (json.RawMessage, error) {
+		calls.Add(1)
+		return json.RawMessage(fmt.Sprintf(`{"scenario":%q}`, spec.Scenario)), nil
+	}
+	opts := hookOpts(hook)
+	opts.StoreDir = dir
+	srv, ts := startServer(t, opts)
+	one := JobSpec{Kind: KindTomography, Scenario: "two-vantage-exact", Seed: 5}
+	id1, _ := submit(t, ts, one)
+	waitDone(t, ts, id1)
+	if err := srv.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	opts2 := hookOpts(hook)
+	opts2.StoreDir = dir
+	_, ts2 := startServer(t, opts2)
+	all := JobSpec{Kind: KindTomography, Seed: 5}
+	id, _ := submit(t, ts2, all)
+	if st := waitDone(t, ts2, id); st.State != StateDone {
+		t.Fatalf("scenario-less run: state %s (%s)", st.State, st.Error)
+	}
+	if got := string(fetchResult(t, ts2, id)); got != `{"scenario":""}` {
+		t.Fatalf("scenario-less spec served %s, the one-scenario payload", got)
+	}
+	if calls.Load() != 2 {
+		t.Fatalf("executor ran %d times, want 2 (the scenario-less spec must execute)", calls.Load())
+	}
+	id3, _ := submit(t, ts2, one)
+	waitDone(t, ts2, id3)
+	if calls.Load() != 2 {
+		t.Fatalf("executor ran %d times; the one-scenario spec must still hit the cache", calls.Load())
+	}
+}
+
 // scriptedBackend exercises the Backend seam directly.
 type scriptedBackend struct {
 	fn func(Job) (ExecResult, error)

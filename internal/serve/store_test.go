@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -19,9 +19,8 @@ func testSpec(domain string) JobSpec {
 }
 
 // assertCleanSegments fails if any segment in dir holds a torn or
-// undecodable record — the "no torn segments" invariant. Binary shards
-// must frame-parse end to end; legacy JSONL segments must be whole JSON
-// lines.
+// undecodable record — the "no torn segments" invariant: every shard
+// must frame-parse end to end.
 func assertCleanSegments(t *testing.T, dir string) {
 	t.Helper()
 	bins, err := filepath.Glob(filepath.Join(dir, "shard-*.bin"))
@@ -49,30 +48,6 @@ func assertCleanSegments(t *testing.T, dir string) {
 		if w := r.Warnings(); len(w) != 0 {
 			t.Errorf("%s: segment not clean: %q", filepath.Base(p), w)
 		}
-	}
-	jsonls, err := filepath.Glob(filepath.Join(dir, "shard-*.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range jsonls {
-		f, err := os.Open(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-		line := 0
-		for sc.Scan() {
-			line++
-			if len(sc.Bytes()) == 0 {
-				continue
-			}
-			var rec storeRecord
-			if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-				t.Errorf("%s line %d: torn record: %v", filepath.Base(p), line, err)
-			}
-		}
-		f.Close()
 	}
 }
 
@@ -291,34 +266,35 @@ func TestStoreBinaryInteriorCorruptionResyncs(t *testing.T) {
 	}
 }
 
-func TestStoreInteriorTornRecordSkippedNotTruncated(t *testing.T) {
+// TestOpenStoreRefusesJSONLSegment: a store directory holding a
+// JSON-lines segment from an earlier version is refused with an error
+// naming the segment, and nothing in the directory is changed — no
+// segment replayed or repaired, no binary shard created.
+func TestOpenStoreRefusesJSONLSegment(t *testing.T) {
 	dir := t.TempDir()
-	// Build a single-shard segment by hand: good, torn, good.
 	p := filepath.Join(dir, "shard-00.jsonl")
-	lines := []string{
-		`{"seq":1,"id":"j-00000001","state":"queued","spec":{"kind":"centrace","domain":"a.example"}}`,
-		`{"seq":2,"id":"j-00000002","state":"qu`,
-		`{"seq":3,"id":"j-00000001","state":"done","payload":{"ok":true}}`,
-	}
-	if err := os.WriteFile(p, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+	old := []byte(`{"seq":1,"id":"j-00000001","state":"queued","spec":{"kind":"centrace"}}` + "\n" +
+		`{"seq":2,"id":"j-00000001","st`) // torn tail, as a crash would leave it
+	if err := os.WriteFile(p, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := OpenStore(dir, 1)
+	st, err := OpenStore(dir, 2)
+	if err == nil {
+		st.Close()
+		t.Fatal("store with a JSON-lines segment opened")
+	}
+	if !strings.Contains(err.Error(), p) {
+		t.Fatalf("error %q does not name %s", err, p)
+	}
+	got, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	e, ok := st.Get("j-00000001")
-	if !ok || e.State != StateDone {
-		t.Fatalf("good record after interior tear lost: %+v ok=%v", e, ok)
+	if !bytes.Equal(got, old) {
+		t.Fatalf("refused segment changed:\n  was %q\n  now %q", old, got)
 	}
-	if len(st.Warnings()) != 1 || !strings.Contains(st.Warnings()[0], "line 2") {
-		t.Fatalf("warnings = %q, want one mentioning line 2", st.Warnings())
-	}
-	// The good tail must survive: no truncation happened.
-	raw, _ := os.ReadFile(p)
-	if !strings.Contains(string(raw), `"state":"done"`) {
-		t.Fatal("interior tear caused truncation of the good tail")
+	if bins, _ := filepath.Glob(filepath.Join(dir, "shard-*.bin")); len(bins) != 0 {
+		t.Fatalf("refused open created segments: %v", bins)
 	}
 }
 
@@ -378,8 +354,9 @@ func TestStoreLeftoverTmpIgnored(t *testing.T) {
 	dir := t.TempDir()
 	// A crash between temp-write and rename leaves a .tmp file; it must
 	// not be replayed as a segment.
-	if err := os.WriteFile(filepath.Join(dir, "shard-00.jsonl.tmp"),
-		[]byte(`{"seq":9,"id":"j-00000009","state":"done"}`+"\n"), 0o644); err != nil {
+	rec := appendStoreRecord(nil, &storeRecord{Seq: 9, ID: "j-00000009", State: StateDone})
+	if err := os.WriteFile(filepath.Join(dir, "shard-00.bin.tmp"),
+		wire.AppendFrame(nil, rec), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st, err := OpenStore(dir, 1)
@@ -410,8 +387,8 @@ func TestStoreShardCountChange(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen with fewer shards: legacy segments must still be replayed
-	// and updates land in the new hash-owner shard.
+	// Reopen with fewer shards: segments beyond the new count must still
+	// be replayed and updates land in the new hash-owner shard.
 	st2, err := OpenStore(dir, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -434,8 +411,8 @@ func TestStoreCompactionBeatsStaleLegacyRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Find a job whose records land in shard-01 — a legacy segment once
-	// the store reopens with one shard.
+	// Find a job whose records land in shard-01 — a segment beyond the
+	// shard count once the store reopens with one shard.
 	var victim string
 	for i := 0; i < 8 && victim == ""; i++ {
 		e, err := st.AppendQueued(testSpec(fmt.Sprintf("d%d.example", i)))
@@ -454,7 +431,7 @@ func TestStoreCompactionBeatsStaleLegacyRecords(t *testing.T) {
 	}
 
 	// Reopen with one shard: the victim's queued record now lives in a
-	// legacy read-only segment. Progress it and compact the active shard —
+	// read-only segment beyond the shard count. Progress it and compact the active shard —
 	// the compacted merged record has the job's first seq, which ties with
 	// the stale queued record still on disk in shard-01.
 	st2, err := OpenStore(dir, 1)
@@ -482,6 +459,6 @@ func TestStoreCompactionBeatsStaleLegacyRecords(t *testing.T) {
 	defer st3.Close()
 	e, ok := st3.Get(victim)
 	if !ok || e.State != StateDone || string(e.Payload) != string(payload) {
-		t.Fatalf("stale legacy record resurrected the job: %+v ok=%v, want done", e, ok)
+		t.Fatalf("stale record in shard-01 resurrected the job: %+v ok=%v, want done", e, ok)
 	}
 }

@@ -3,8 +3,7 @@ package serve
 // Binary form of one store record (DESIGN.md §14): the frame payload a
 // shard append writes through internal/wire. The leading version byte
 // gates schema evolution; every field after it is fixed-order. The JSON
-// shape survives as the export/debug view (Store.ExportJSON) and as the
-// read-only replay path for legacy shard-*.jsonl segments.
+// shape survives only as the export/debug view (Store.ExportJSON).
 
 import (
 	"fmt"
@@ -13,16 +12,18 @@ import (
 )
 
 // Store record schema versions. V1 is the pre-cluster shape; V2 appends
-// the result digest and replica set. New records are written at V2; V1
-// segments stay readable forever.
+// the result digest and replica set; V3 appends the spec's tomography
+// scenario when the record carries a spec. New records are written at
+// V3; V1 and V2 records stay readable forever.
 const (
 	storeRecordV1 = 1
 	storeRecordV2 = 2
+	storeRecordV3 = 3
 )
 
 // appendStoreRecord appends the binary payload of rec to b.
 func appendStoreRecord(b []byte, rec *storeRecord) []byte {
-	b = append(b, storeRecordV2)
+	b = append(b, storeRecordV3)
 	b = wire.AppendVarint(b, rec.Seq)
 	b = wire.AppendVarint(b, rec.Merged)
 	b = wire.AppendString(b, rec.ID)
@@ -39,6 +40,9 @@ func appendStoreRecord(b []byte, rec *storeRecord) []byte {
 	for _, r := range rec.Replicas {
 		b = wire.AppendString(b, r)
 	}
+	if rec.Spec != nil {
+		b = wire.AppendString(b, rec.Spec.Scenario)
+	}
 	return b
 }
 
@@ -46,7 +50,7 @@ func appendStoreRecord(b []byte, rec *storeRecord) []byte {
 func decodeStoreRecord(payload []byte) (*storeRecord, error) {
 	d := wire.NewDec(payload)
 	v := d.Byte()
-	if v != storeRecordV1 && v != storeRecordV2 {
+	if v < storeRecordV1 || v > storeRecordV3 {
 		if d.Err() == nil {
 			return nil, fmt.Errorf("serve: unknown store record version %d", v)
 		}
@@ -72,6 +76,9 @@ func decodeStoreRecord(payload []byte) (*storeRecord, error) {
 				rec.Replicas = append(rec.Replicas, d.String())
 			}
 		}
+	}
+	if v >= storeRecordV3 && rec.Spec != nil {
+		rec.Spec.Scenario = d.String()
 	}
 	if err := d.Err(); err != nil {
 		return nil, err

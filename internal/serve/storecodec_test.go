@@ -19,7 +19,7 @@ func fullStoreRecord() *storeRecord {
 			Control: "control.example", Protocol: "https", Repetitions: 11,
 			Workers: 4, RetryPasses: 2, Strategy: "priority", Extensions: true,
 			Addrs: []string{"198.51.100.1", "198.51.100.2"}, TopK: 3, MinPts: 2,
-			Loss: 0.25,
+			Scenario: "two-vantage-exact", Loss: 0.25,
 		},
 		Attempts: 3,
 		Error:    "transient: timeout",
@@ -31,8 +31,8 @@ func fullStoreRecord() *storeRecord {
 
 // TestStoreRecordRoundTrip is the golden check for the binary codec: a
 // fully populated record must survive encode→decode bit-for-bit, and the
-// decoded record's JSON form — the export view — must match the JSON the
-// legacy format would have written for the same record.
+// decoded record's JSON form — the export view — must match the JSON of
+// the original record.
 func TestStoreRecordRoundTrip(t *testing.T) {
 	orig := fullStoreRecord()
 	payload := appendStoreRecord(nil, orig)
@@ -44,7 +44,7 @@ func TestStoreRecordRoundTrip(t *testing.T) {
 		t.Fatalf("round trip diverged:\n  orig %+v\n  got  %+v", orig, got)
 	}
 
-	legacyJSON, err := json.Marshal(orig)
+	origJSON, err := json.Marshal(orig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +52,8 @@ func TestStoreRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(legacyJSON) != string(exportJSON) {
-		t.Fatalf("JSON view diverged from legacy:\n  legacy %s\n  export %s", legacyJSON, exportJSON)
+	if string(origJSON) != string(exportJSON) {
+		t.Fatalf("JSON view diverged from the original:\n  orig   %s\n  export %s", origJSON, exportJSON)
 	}
 }
 
@@ -85,30 +85,79 @@ func TestStoreRecordEncodingDeterministic(t *testing.T) {
 // be rejected, not misparsed.
 func TestStoreRecordVersionGate(t *testing.T) {
 	payload := appendStoreRecord(nil, fullStoreRecord())
-	payload[0] = storeRecordV2 + 1
+	payload[0] = storeRecordV3 + 1
 	if _, err := decodeStoreRecord(payload); err == nil {
 		t.Fatal("future-version record decoded without error")
 	}
 }
 
-// TestStoreRecordV1Compat: a record written by the V1 schema (no digest,
-// no replicas) must still decode — old shard segments outlive upgrades.
+// TestStoreRecordV1Compat: records written by the V1 schema (no digest,
+// no replicas, no scenario) and the V2 schema (no scenario) must still
+// decode — old shard segments outlive upgrades.
 func TestStoreRecordV1Compat(t *testing.T) {
 	orig := fullStoreRecord()
+	orig.Spec.Scenario = ""
+	// Encode at V3, then rewrite as V2 by stamping the version byte and
+	// dropping the V3 suffix (the empty scenario string: one byte).
+	v3 := appendStoreRecord(nil, orig)
+	v2 := append([]byte{storeRecordV2}, v3[1:len(v3)-1]...)
+	got, err := decodeStoreRecord(v2)
+	if err != nil {
+		t.Fatalf("decode v2 record: %v", err)
+	}
+	if !reflect.DeepEqual(orig, got) {
+		t.Fatalf("v2 record diverged:\n  orig %+v\n  got  %+v", orig, got)
+	}
+
+	// V1 also lacks the V2 suffix: with an empty digest and no replicas,
+	// exactly two more trailing bytes.
 	orig.Digest = ""
 	orig.Replicas = nil
-	// Encode at V2, then rewrite as V1 by stamping the version byte and
-	// dropping the V2 suffix (empty digest string + zero replica count =
-	// exactly two trailing bytes).
-	payload := appendStoreRecord(nil, orig)
-	payload[0] = storeRecordV1
-	payload = payload[:len(payload)-2]
-	got, err := decodeStoreRecord(payload)
+	v3 = appendStoreRecord(nil, orig)
+	v1 := append([]byte{storeRecordV1}, v3[1:len(v3)-3]...)
+	got, err = decodeStoreRecord(v1)
 	if err != nil {
 		t.Fatalf("decode v1 record: %v", err)
 	}
 	if !reflect.DeepEqual(orig, got) {
 		t.Fatalf("v1 record diverged:\n  orig %+v\n  got  %+v", orig, got)
+	}
+}
+
+// TestStoreRecordJobSpecEveryField: every JobSpec field, each set to a
+// non-zero value by reflection, must survive the record round trip. A
+// field added to JobSpec without a codec change fails here.
+func TestStoreRecordJobSpecEveryField(t *testing.T) {
+	var spec JobSpec
+	v := reflect.ValueOf(&spec).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		name := v.Type().Field(i).Name
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString("x-" + name)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 0.5)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Slice:
+			if f.Type().Elem().Kind() != reflect.String {
+				t.Fatalf("JobSpec.%s: no test value for %s", name, f.Type())
+			}
+			f.Set(reflect.ValueOf([]string{"a-" + name, "b-" + name}))
+		default:
+			t.Fatalf("JobSpec.%s: no test value for %s", name, f.Type())
+		}
+	}
+	rec := &storeRecord{Seq: 1, ID: "j-1", State: StateQueued, Spec: &spec}
+	got, err := decodeStoreRecord(appendStoreRecord(nil, rec))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(*got.Spec, spec) {
+		t.Fatalf("spec diverged in the store codec:\n  want %+v\n  got  %+v", spec, *got.Spec)
 	}
 }
 

@@ -8,14 +8,13 @@
 //	crc32   = IEEE CRC-32 of payload, little-endian
 //	payload = version byte + record bytes (record codecs own both)
 //
-// The 0xC5 guard byte makes format sniffing sound against the legacy
-// JSON-lines files the frame replaces: no JSONL segment starts with 0xC5
-// (JSON text starts with punctuation, and 0xC5 is a UTF-8 *leading* byte
-// that 0x63 'c' can never continue, so the full marker is not valid UTF-8
-// text either).
+// The 0xC5 guard byte is what lets the store and the journal refuse the
+// JSON-lines files of earlier versions instead of misreading them: no
+// JSON-lines file starts with 0xC5 (JSON text starts with punctuation,
+// and 0xC5 is a UTF-8 *leading* byte that 0x63 'c' can never continue,
+// so the full marker is not valid UTF-8 text either). See Framed.
 //
-// The Reader mirrors the crash-recovery contract the JSONL replayers
-// established: a torn final frame (the kill -9 mid-append artifact) is
+// The Reader's crash-recovery contract: a torn final frame (the kill -9 mid-append artifact) is
 // reported for truncation back to the last frame boundary, while interior
 // corruption is skipped by scanning for the next marker — the CRC rejects
 // false markers inside damaged regions — so good records after a tear
@@ -39,11 +38,14 @@ var Marker = [4]byte{0xC5, 'c', 'w', '1'}
 // this bound immediately instead of swallowing the rest of the file.
 const MaxPayload = 64 << 20
 
-// SniffMarker reports whether b begins with the frame marker — the
-// format dispatch used when opening a file that may be legacy JSONL.
-func SniffMarker(b []byte) bool {
-	return len(b) >= len(Marker) && b[0] == Marker[0] && b[1] == Marker[1] &&
-		b[2] == Marker[2] && b[3] == Marker[3]
+// Framed reports whether b can be a frame stream, whole or torn: it is
+// empty, or it starts with the marker or a proper prefix of it. The
+// prefix is what a crash leaves when it tears the first frame inside its
+// marker, and later frames may follow it (the Reader resyncs past it).
+// Every such start is the 0xC5 guard byte, which no JSON text starts
+// with, so that byte is the whole test.
+func Framed(b []byte) bool {
+	return len(b) == 0 || b[0] == Marker[0]
 }
 
 // AppendFrame appends one complete frame carrying payload to dst and

@@ -160,15 +160,17 @@ func TestReaderGarbagePrefix(t *testing.T) {
 	}
 }
 
-func TestSniffMarker(t *testing.T) {
-	if SniffMarker([]byte(`{"key":"x"}`)) {
-		t.Error("JSON sniffed as binary")
+func TestFramed(t *testing.T) {
+	for _, b := range [][]byte{[]byte(`{"key":"x"}`), []byte("\n"), []byte("c")} {
+		if Framed(b) {
+			t.Errorf("%q taken for a frame stream", b)
+		}
 	}
-	if SniffMarker(nil) || SniffMarker(Marker[:3]) {
-		t.Error("short input sniffed as binary")
-	}
-	if !SniffMarker(AppendFrame(nil, []byte("x"))) {
-		t.Error("frame stream not sniffed as binary")
+	frame := AppendFrame(nil, []byte("x"))
+	for _, b := range [][]byte{nil, Marker[:1], Marker[:3], frame, append(Marker[:2:2], frame...)} {
+		if !Framed(b) {
+			t.Errorf("%q (empty, a frame, or a torn marker prefix) refused", b)
+		}
 	}
 }
 
